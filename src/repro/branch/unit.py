@@ -15,7 +15,13 @@ from repro.branch.btb import BranchTargetBuffer, ReturnAddressStack
 from repro.branch.predictors import CombinedPredictor
 from repro.config.machines import BranchConfig
 from repro.isa.instruction import DynInst
-from repro.isa.opcodes import Opcode
+from repro.isa.opcodes import (
+    BRANCH_COND,
+    BRANCH_JAL,
+    BRANCH_JR,
+    BRANCH_KIND,
+    Opcode,
+)
 
 
 @dataclass
@@ -42,26 +48,29 @@ class BranchUnit:
     # Detailed-mode interface
     # ------------------------------------------------------------------
     def resolve(self, dyn: DynInst) -> BranchOutcome:
+        """:meth:`resolve_branch` for one dynamic instruction record."""
+        return self.resolve_branch(dyn.pc, BRANCH_KIND[dyn.op], dyn.taken,
+                                   dyn.next_pc)
+
+    def resolve_branch(self, pc: int, kind: int, actual_taken: bool,
+                       actual_target: int) -> BranchOutcome:
         """Predict the branch, compare to the actual outcome, and train.
 
         Mirrors SimpleScalar's per-branch flow: direction prediction for
         conditional branches, target prediction through the BTB (or RAS
-        for returns), then training with the resolved outcome.
+        for returns), then training with the resolved outcome.  ``kind``
+        is a branch-kind code (:data:`repro.isa.opcodes.BRANCH_KIND`);
+        ``actual_target`` is the pc executed next.
         """
-        pc = dyn.pc
-        op = dyn.op
-        actual_taken = dyn.taken
-        actual_target = dyn.next_pc
-
-        if dyn.is_conditional:
+        if kind == BRANCH_COND:
             predicted_taken = self.predictor.predict(pc)
             predicted_target = self.btb.lookup(pc) if predicted_taken else pc + 1
             self.predictor.update(pc, actual_taken)
-        elif op == Opcode.JAL:
+        elif kind == BRANCH_JAL:
             predicted_taken = True
             predicted_target = self.btb.lookup(pc)
             self.ras.push(pc + 1)
-        elif op == Opcode.JR:
+        elif kind == BRANCH_JR:
             predicted_taken = True
             predicted_target = self.ras.pop()
             if predicted_target is None:

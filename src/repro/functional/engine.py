@@ -1,15 +1,16 @@
 """Functional-engine selection: ``REPRO_ENGINE=fastpath|interp``.
 
 Every consumer of functional execution — the SMARTS engine's
-fast-forward loop, ``measure_program_length``, reference traces,
-checkpoint builds, and the rate calibration behind Table 6 / Figure 4 —
+fast-forward loop and detailed simulation, ``measure_program_length``,
+reference traces, checkpoint builds, SimPoint's BBV profiling and
+interval simulation, and the rate calibration behind Table 6 / Figure 4 —
 creates its core through :func:`create_core`, so one environment switch
 selects the engine process-wide:
 
 * ``fastpath`` (default) — the trace-compiled block-level engine
   (:class:`repro.functional.fastpath.FastCore`), bit-identical to the
-  interpreter but several times faster on the functional-warming hot
-  loop;
+  interpreter but several times faster on the functional-warming and
+  detailed-simulation hot loops;
 * ``interp`` — the original per-instruction interpreter
   (:class:`repro.functional.simulator.FunctionalCore`), kept as the
   executable specification the fastpath is verified against.

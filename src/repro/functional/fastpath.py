@@ -5,9 +5,9 @@ a fixed per-instruction cost — decode-record unpacking, opcode dispatch
 through one large ``if/elif`` chain, bound-method lookups on the
 architectural state, and a :class:`~repro.isa.instruction.DynInst`
 allocation — on every one of the 10^6-10^8 dynamic instructions a SMARTS
-experiment fast-forwards through.  This module removes that cost for the
-dominant consumer, functional warming, by compiling each *basic block*
-of a program into a single specialized Python closure:
+experiment executes.  This module removes that cost for both consumers,
+functional warming and the detailed timing model, by compiling each
+*basic block* of a program into specialized Python closures:
 
 * blocks are discovered once per :class:`~repro.isa.program.Program`
   (leaders = entry, branch targets, fall-throughs) and compiled lazily
@@ -22,7 +22,12 @@ of a program into a single specialized Python closure:
   stream* (instruction-fetch and data addresses, branch outcomes) to
   flat integer lists, which :class:`FastCore` hands in batches to the
   bulk entry points :meth:`repro.memory.hierarchy.MemoryHierarchy.warm_many`
-  and :meth:`repro.branch.unit.BranchUnit.warm_many`.
+  and :meth:`repro.branch.unit.BranchUnit.warm_many`;
+* the detail variant, compiled separately on first detailed execution,
+  appends only the block's *dynamic* facts (load/store addresses and a
+  conditional branch's outcome); :meth:`FastCore.detail_chunks` pairs
+  them with the block's precomputed static instruction records for
+  :class:`repro.detailed.pipeline.DetailedSimulator`.
 
 The contract is *bit-identical equivalence*: a :class:`FastCore` run
 leaves exactly the architectural state, warm microarchitectural state,
@@ -45,7 +50,13 @@ from __future__ import annotations
 from repro.functional.simulator import INST_SIZE, FunctionalCore
 from repro.functional.warming import FunctionalWarmer
 from repro.isa.instruction import FP_REG_BASE
-from repro.isa.opcodes import Opcode
+from repro.isa.opcodes import (  # branch-event kind codes, re-exported
+    BRANCH_COND,
+    BRANCH_JAL,
+    BRANCH_JR,
+    BRANCH_JUMP,
+    Opcode,
+)
 from repro.isa.program import WORD_SIZE, Program
 
 #: Upper bound on compiled-block length; longer straight-line stretches
@@ -59,12 +70,6 @@ FLUSH_EVENTS = 8192
 EVENT_IFETCH = 0
 EVENT_LOAD = 1
 EVENT_STORE = 2
-
-#: Branch-event kind codes (first int of each 4-int branch record).
-BRANCH_COND = 0
-BRANCH_JAL = 1
-BRANCH_JR = 2
-BRANCH_JUMP = 3
 
 _WORD_SHIFT = WORD_SIZE.bit_length() - 1
 _WORD_IS_POW2 = WORD_SIZE == 1 << _WORD_SHIFT
@@ -135,7 +140,7 @@ def _align(expr: str) -> str:
 
 
 class CompiledBlock:
-    """One compiled basic block: metadata plus the two closures."""
+    """One compiled basic block: metadata plus the two functional closures."""
 
     __slots__ = ("start", "length", "halts", "run_plain", "run_warm")
 
@@ -151,17 +156,40 @@ class CompiledBlock:
         self.run_warm = run_warm
 
 
-def _compile_block(program: Program, start: int,
-                   leaders: frozenset[int]) -> CompiledBlock:
+class DetailBlock:
+    """One block compiled for the detailed timing model.
+
+    ``run(ir, fr, mem, ev) -> next_pc`` updates the architectural state
+    and appends the block's dynamic facts to ``ev`` in program order:
+    the effective address of every load and store, then ``True`` /
+    ``False`` for the outcome of a terminating conditional branch.
+    Everything else the timing model needs is static per instruction.
+    """
+
+    __slots__ = ("start", "length", "halts", "run")
+
+    def __init__(self, start: int, length: int, halts: bool, run) -> None:
+        self.start = start
+        self.length = length
+        self.halts = halts
+        self.run = run
+
+
+def _compile_block(program: Program, start: int, leaders: frozenset[int],
+                   detail: bool = False,
+                   max_length: int = MAX_BLOCK_LENGTH):
     """Compile the block beginning at static index ``start``.
 
     The block extends until a control-flow instruction, ``HALT``, the
-    next leader, the end of the program, or :data:`MAX_BLOCK_LENGTH`.
+    next leader, the end of the program, or ``max_length`` instructions.
+    Returns the functional closures as a :class:`CompiledBlock`, or with
+    ``detail`` the detailed-model closure as a :class:`DetailBlock`.
     """
     instructions = program.instructions
     size = len(instructions)
     arch: list[str] = []        # statements shared by both variants
     warm_extra: dict[int, list[str]] = {}  # event statements keyed by arch pos
+    detail_extra: dict[int, list[str]] = {}  # fact statements keyed by arch pos
     pending: list[int] = []     # static memory events awaiting a flush
     load_count = 0
 
@@ -171,6 +199,9 @@ def _compile_block(program: Program, start: int,
 
     def emit_event(line: str) -> None:
         warm_extra.setdefault(len(arch), []).append(line)
+
+    def emit_fact(line: str) -> None:
+        detail_extra.setdefault(len(arch), []).append(line)
 
     def flush_statics() -> None:
         if not pending:
@@ -186,8 +217,9 @@ def _compile_block(program: Program, start: int,
     halts = False
     terminator_plain: list[str] = []
     terminator_warm: list[str] = []
+    terminator_detail: list[str] = []
 
-    while pc < size and length < MAX_BLOCK_LENGTH:
+    while pc < size and length < max_length:
         if length and pc in leaders:
             break  # fall into the next block; keep blocks non-overlapping
         inst = instructions[pc]
@@ -241,6 +273,7 @@ def _compile_block(program: Program, start: int,
             emit(f"a = {_align(address)}")
             flush_statics()
             emit_event(f"ap(a << 2 | {EVENT_LOAD})")
+            emit_fact("ap(a)")
             load_count += 1
             if rd is not None:
                 emit(_write(rd, "mg(a, 0)", "raw"))
@@ -250,6 +283,7 @@ def _compile_block(program: Program, start: int,
             emit(f"a = {_align(address)}")
             flush_statics()
             emit_event(f"ap(a << 2 | {EVENT_STORE})")
+            emit_fact("ap(a)")
             emit(f"mem[a] = {_raw_read(rs2)}")
         elif inst.is_conditional:
             cmp = _COND_OPS[op]
@@ -265,6 +299,13 @@ def _compile_block(program: Program, start: int,
                 f"    ev2.extend(({BRANCH_COND}, {pc}, 1, {target}))",
                 f"    return {target}",
                 f"ev2.extend(({BRANCH_COND}, {pc}, 0, {fall}))",
+                f"return {fall}",
+            ]
+            terminator_detail = [
+                f"if {_iread(rs1)} {cmp} {_iread(rs2)}:",
+                "    ev.append(True)",
+                f"    return {target}",
+                "ev.append(False)",
                 f"return {fall}",
             ]
         elif op is Opcode.JUMP:
@@ -334,15 +375,22 @@ def _compile_block(program: Program, start: int,
             lines.append(f"    {statement}")
         return lines
 
-    source = "\n".join(
-        render(arch, None, terminator_plain, "_plain", "ir, fr, mem")
-        + [""]
-        + render(arch, warm_extra, terminator_warm, "_warm",
-                 "ir, fr, mem, ev, ev2")
-    )
+    if detail:
+        source = "\n".join(
+            render(arch, detail_extra, terminator_detail or terminator_plain,
+                   "_detail", "ir, fr, mem, ev"))
+    else:
+        source = "\n".join(
+            render(arch, None, terminator_plain, "_plain", "ir, fr, mem")
+            + [""]
+            + render(arch, warm_extra, terminator_warm, "_warm",
+                     "ir, fr, mem, ev, ev2")
+        )
     namespace: dict = {}
     exec(compile(source, f"<fastpath:{program.name}:{start}>", "exec"),
          namespace)
+    if detail:
+        return DetailBlock(start, length, halts, namespace["_detail"])
     return CompiledBlock(start, length, halts,
                          namespace["_plain"], namespace["_warm"])
 
@@ -355,12 +403,30 @@ class CompiledProgram:
         self.static_size = len(program.instructions)
         self.leaders = frozenset(program.basic_block_leaders())
         self._blocks: dict[int, CompiledBlock] = {}
+        self._detail_blocks: dict[tuple[int, int], DetailBlock] = {}
 
     def block_at(self, pc: int) -> CompiledBlock:
         block = self._blocks.get(pc)
         if block is None:
             block = _compile_block(self.program, pc, self.leaders)
             self._blocks[pc] = block
+        return block
+
+    def detail_block_at(self, pc: int,
+                        max_length: int = MAX_BLOCK_LENGTH) -> DetailBlock:
+        """The detailed-model closure of the block at ``pc``.
+
+        Compiled on first detailed execution, separately from the
+        functional closures, so functional-only work never pays for it.
+        ``max_length=1`` gives the one-instruction closures that finish
+        a budget ending inside a block.
+        """
+        key = (pc, max_length)
+        block = self._detail_blocks.get(key)
+        if block is None:
+            block = _compile_block(self.program, pc, self.leaders,
+                                   detail=True, max_length=max_length)
+            self._detail_blocks[key] = block
         return block
 
     @property
@@ -388,11 +454,13 @@ def compiled_program(program: Program) -> CompiledProgram:
 class FastCore(FunctionalCore):
     """Drop-in :class:`FunctionalCore` executing block-at-a-time.
 
-    ``step`` (used by the detailed timing model, which needs per-
-    instruction :class:`DynInst` records) is inherited unchanged; the
-    bulk entry points ``run`` and ``run_warmed`` execute compiled blocks
-    whenever the remaining budget covers a whole block and fall back to
-    the interpreter for partial-block remainders and foreign callbacks.
+    Every bulk entry point executes compiled blocks whenever the
+    remaining budget covers a whole block.  ``run``, ``run_warmed`` and
+    ``trace_blocks`` fall back to the interpreter for partial-block
+    remainders (and ``run`` for foreign callbacks); ``detail_chunks``,
+    the detailed timing model's feed, executes a remainder through
+    one-instruction compiled closures instead, so detailed simulation
+    never steps the interpreter.  ``step`` is inherited unchanged.
 
     ``blocks_executed`` / ``fallback_instructions`` count closure calls
     and interpreter-stepped instructions — the count-based dispatch
@@ -498,6 +566,71 @@ class FastCore(FunctionalCore):
             self.fallback_instructions += stepped
             executed += stepped
         return executed
+
+    # ------------------------------------------------------------------
+    # Chunked execution
+    # ------------------------------------------------------------------
+    def detail_chunks(self, count, statics):
+        state = self.state
+        budget = self._budget(count)
+        compiled = self._compiled
+        detail_block_at = compiled.detail_block_at
+        size = compiled.static_size
+        by_pc, block_records = statics.by_pc, statics.blocks
+        ir, fr, mem = state.int_regs, state.fp_regs, state.memory
+        executed = 0
+        while executed < budget and not state.halted:
+            pc = state.pc
+            if pc < 0 or pc >= size:
+                state.halted = True
+                return
+            entry = block_records.get(pc)
+            if entry is None:
+                block = detail_block_at(pc)
+                entry = block_records[pc] = (block,
+                                             by_pc[pc:pc + block.length])
+            block, records = entry
+            length = block.length
+            if executed + length > budget:  # budget ends inside the block
+                block = detail_block_at(pc, 1)
+                records = by_pc[pc:pc + 1]
+                length = 1
+            facts: list = []
+            state.pc = next_pc = block.run(ir, fr, mem, facts)
+            executed += length
+            self.instructions_retired += length
+            self.blocks_executed += 1
+            if block.halts:
+                state.halted = True
+            yield records, facts, next_pc
+
+    def trace_blocks(self, count):
+        state = self.state
+        budget = self._budget(count)
+        block_at = self._compiled.block_at
+        size = self._compiled.static_size
+        ir, fr, mem = state.int_regs, state.fp_regs, state.memory
+        executed = 0
+        while executed < budget and not state.halted:
+            pc = state.pc
+            if pc < 0 or pc >= size:
+                state.halted = True
+                break
+            block = block_at(pc)
+            length = block.length
+            if executed + length > budget:
+                break
+            state.pc = block.run_plain(ir, fr, mem)
+            executed += length
+            self.instructions_retired += length
+            self.blocks_executed += 1
+            if block.halts:
+                state.halted = True
+            yield pc, length
+        if executed < count and not self.halted:
+            for chunk in FunctionalCore.trace_blocks(self, count - executed):
+                self.fallback_instructions += 1
+                yield chunk
 
     @staticmethod
     def _flush_events(hierarchy, branch_unit, events, branch_events,

@@ -9,8 +9,11 @@ mode switches (functional <-> detailed) trivially consistent because
 there is exactly one architectural state.
 
 Performance notes: the decode table is precomputed per static
-instruction and ``step`` is written as one flat function because SMARTS
-experiments execute 10^6-10^8 dynamic instructions through this loop.
+instruction and ``step`` is written as one flat function because, under
+``REPRO_ENGINE=interp``, SMARTS experiments execute 10^6-10^8 dynamic
+instructions through this loop.  The default trace-compiled engine
+(:mod:`repro.functional.fastpath`) steps it only for partial-block
+remainders.
 """
 
 from __future__ import annotations
@@ -267,6 +270,56 @@ class FunctionalCore:
                 written.add(dyn.mem_addr)
 
         return FunctionalCore.run(self, count, observe_and_track)
+
+    # ------------------------------------------------------------------
+    # Chunked execution (detailed timing model, BBV profiling)
+    # ------------------------------------------------------------------
+    def detail_chunks(self, count: int, statics):
+        """Execute up to ``count`` instructions for the detailed model.
+
+        Yields ``(records, facts, next_pc)`` per chunk of straight-line
+        code: ``records`` is the chunk's slice of ``statics.by_pc`` (the
+        static instruction records of
+        :class:`repro.detailed.pipeline.StaticRecords`), ``facts`` its
+        dynamic facts in program order (the address of every load and
+        store, then the outcome of a conditional branch) and ``next_pc``
+        the pc executed after the chunk.  The interpreter yields one
+        instruction per chunk; :class:`~repro.functional.fastpath.FastCore`
+        yields whole compiled blocks.
+        """
+        by_pc = statics.by_pc
+        step = self.step
+        executed = 0
+        while executed < count:
+            dyn = step()
+            if dyn is None:
+                return
+            executed += 1
+            pc = dyn.pc
+            if dyn.mem_addr is not None:
+                facts = (dyn.mem_addr,)
+            elif dyn.is_conditional:
+                facts = (dyn.taken,)
+            else:
+                facts = ()
+            yield by_pc[pc:pc + 1], facts, dyn.next_pc
+
+    def trace_blocks(self, count: int):
+        """Execute up to ``count`` instructions, yielding ``(pc, length)``
+        per chunk of straight-line code.
+
+        A chunk never crosses a basic-block leader, so every instruction
+        of it belongs to the basic block of ``pc``.  The interpreter
+        yields one instruction per chunk.
+        """
+        step = self.step
+        executed = 0
+        while executed < count:
+            dyn = step()
+            if dyn is None:
+                return
+            executed += 1
+            yield dyn.pc, 1
 
     # ------------------------------------------------------------------
     # Checkpoint support

@@ -126,11 +126,14 @@ class Instruction:
 class DynInst:
     """One dynamically executed instruction.
 
-    Produced by the functional core (`repro.functional.simulator`) and
-    consumed by functional warming, the detailed timing model and the
-    energy model.  Attribute access cost matters (tens of millions of
-    these objects are created per experiment) so the class uses
-    ``__slots__`` and exposes plain attributes rather than properties.
+    Produced by the interpreter's ``FunctionalCore.step``
+    (`repro.functional.simulator`), the readable reference execution:
+    its per-instruction warming and its feed of the detailed timing
+    model consume these records.  The trace-compiled engine
+    (`repro.functional.fastpath`) creates none on its hot paths; it
+    passes flat event lists and per-block dynamic facts instead.  The
+    class uses ``__slots__`` and plain attributes to keep the reference
+    path cheap.
     """
 
     __slots__ = (

@@ -139,6 +139,26 @@ CONTROL_FLOW = frozenset(
     }
 )
 
+#: Branch-kind codes: the ``kind`` argument of
+#: :meth:`repro.branch.unit.BranchUnit.resolve_branch`, the first int of a
+#: fast-path branch warming event, and the branch field of the detailed
+#: pipeline's static instruction records.
+BRANCH_COND = 0
+BRANCH_JAL = 1
+BRANCH_JR = 2
+BRANCH_JUMP = 3
+
+#: Branch kind of every control-flow opcode.
+BRANCH_KIND: dict[Opcode, int] = {
+    Opcode.BEQ: BRANCH_COND,
+    Opcode.BNE: BRANCH_COND,
+    Opcode.BLT: BRANCH_COND,
+    Opcode.BGE: BRANCH_COND,
+    Opcode.JAL: BRANCH_JAL,
+    Opcode.JR: BRANCH_JR,
+    Opcode.JUMP: BRANCH_JUMP,
+}
+
 #: Memory opcodes.
 MEMORY_OPS = frozenset({Opcode.LOAD, Opcode.STORE, Opcode.FLOAD, Opcode.FSTORE})
 LOAD_OPS = frozenset({Opcode.LOAD, Opcode.FLOAD})

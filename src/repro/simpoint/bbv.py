@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.functional.simulator import FunctionalCore
+from repro.functional.engine import create_core
 from repro.isa.program import Program
 
 
@@ -64,30 +64,29 @@ def profile_bbv(program: Program, interval_size: int,
     block_of = program.basic_block_map()
     num_blocks = max(block_of.values()) + 1 if block_of else 1
 
-    core = FunctionalCore(program)
+    core = create_core(program)
     rows: list[np.ndarray] = []
     lengths: list[int] = []
-    current = np.zeros(num_blocks, dtype=float)
-    count = 0
     total = 0
     limit = max_instructions if max_instructions is not None else float("inf")
 
     while total < limit:
-        dyn = core.step()
-        if dyn is None:
+        budget = int(min(interval_size, limit - total))
+        # Whole chunks of straight-line code; a chunk never crosses a
+        # basic-block leader, so all of it counts toward its first pc's
+        # block.  Only a chunk cut by the interval boundary is stepped.
+        current = [0] * num_blocks
+        count = 0
+        for pc, length in core.trace_blocks(budget):
+            current[block_of[pc]] += length
+            count += length
+        if count == 0:
             break
-        current[block_of[dyn.pc]] += 1.0
-        count += 1
-        total += 1
-        if count == interval_size:
-            rows.append(current)
-            lengths.append(count)
-            current = np.zeros(num_blocks, dtype=float)
-            count = 0
-
-    if count > 0:
-        rows.append(current)
+        rows.append(np.asarray(current, dtype=float))
         lengths.append(count)
+        total += count
+        if count < budget:
+            break
 
     if not rows:
         raise ValueError(f"program {program.name!r} executed no instructions")

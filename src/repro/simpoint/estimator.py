@@ -20,7 +20,7 @@ from repro.config.machines import MachineConfig
 from repro.detailed.pipeline import DetailedSimulator
 from repro.detailed.state import MicroarchState
 from repro.energy.wattch import EnergyModel
-from repro.functional.simulator import FunctionalCore
+from repro.functional.engine import create_core
 from repro.isa.program import Program
 from repro.simpoint.bbv import BBVProfile, profile_bbv, project_vectors
 from repro.simpoint.kmeans import KMeansResult, choose_clustering
@@ -111,7 +111,7 @@ def run_simpoint(
     simpoints, clustering = select_simpoints(
         profile, max_clusters=max_clusters, seed=seed)
 
-    core = FunctionalCore(program)
+    core = create_core(program)
     microarch = MicroarchState(machine)
     detailed = DetailedSimulator(machine, microarch)
     energy_model = EnergyModel(machine) if measure_energy else None

@@ -32,6 +32,7 @@ from repro.api import RunSpec, StratifiedStrategy, SystematicStrategy, run_spec
 from repro.branch.unit import BranchUnit
 from repro.checkpoint import build_checkpoints
 from repro.config.machines import BranchConfig
+from repro.detailed.pipeline import DetailedSimulator
 from repro.detailed.state import MicroarchState
 from repro.functional.engine import (
     DEFAULT_ENGINE,
@@ -363,3 +364,50 @@ class TestDispatchCounts:
             executed += core.run(75)  # detailed window stand-in
         assert executed > 10_000
         assert core.fallback_instructions / executed < 0.35
+
+    def test_detailed_path_runs_compiled_blocks(self, machine_8way,
+                                                monkeypatch):
+        """On a SMARTS-shaped schedule the detailed timing model executes
+        compiled blocks: at most 2% of its instructions go through
+        ``FunctionalCore.step`` and it constructs no ``DynInst``."""
+        import repro.functional.simulator as simulator
+
+        stepped = [0]
+        created = [0]
+        step = FunctionalCore.step
+
+        def counting_step(self):
+            stepped[0] += 1
+            return step(self)
+
+        class CountingDynInst(DynInst):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                created[0] += 1
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(FunctionalCore, "step", counting_step)
+        monkeypatch.setattr(simulator, "DynInst", CountingDynInst)
+
+        program = small_program("gcc.syn")
+        core = FastCore(program)
+        microarch = MicroarchState(machine_8way)
+        warmer = FunctionalWarmer(microarch)
+        sim = DetailedSimulator(machine_8way, microarch)
+        detailed = detailed_closures = detailed_stepped = 0
+        while not core.halted:
+            core.run_warmed(325, warmer)          # k*U - W - U
+            stepped[0] = created[0] = 0
+            blocks_before = core.blocks_executed
+            sim.begin_period()
+            for budget in (125, 50):              # W, then U
+                detailed += sim.run(core, budget).instructions
+            detailed_closures += core.blocks_executed - blocks_before
+            detailed_stepped += stepped[0]
+            assert created[0] == 0
+        assert detailed > 10_000
+        assert detailed_stepped <= 0.02 * detailed
+        # Each closure call covers several instructions, including the
+        # one-instruction closures that finish budgets ending mid-block.
+        assert detailed_closures < 0.6 * detailed

@@ -47,6 +47,28 @@ class TestBBVProfiling:
         assert projected.shape == profile.vectors.shape
 
 
+@pytest.mark.parametrize("name", ["micro.syn", "gzip.syn", "mcf.syn",
+                                  "gcc.syn"])
+@pytest.mark.parametrize("interval_size, max_instructions", [
+    (1, 400), (7, 5000), (100, None), (1000, None), (2500, 12_345)])
+def test_profile_identical_across_engines(name, interval_size,
+                                          max_instructions, monkeypatch):
+    """Block-granular profiling under the fast engine reproduces the
+    interpreter's per-instruction vectors exactly."""
+    from repro.workloads import get_benchmark, micro_benchmark
+
+    program = (micro_benchmark().program if name == "micro.syn"
+               else get_benchmark(name, scale=0.05).program)
+    profiles = []
+    for engine in ("interp", "fastpath"):
+        monkeypatch.setenv("REPRO_ENGINE", engine)
+        profiles.append(profile_bbv(program, interval_size,
+                                    max_instructions=max_instructions))
+    interp, fast = profiles
+    assert np.array_equal(interp.vectors, fast.vectors)
+    assert np.array_equal(interp.interval_lengths, fast.interval_lengths)
+
+
 class TestKMeans:
     def test_separable_clusters_recovered(self):
         rng = np.random.default_rng(0)
