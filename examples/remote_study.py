@@ -15,11 +15,17 @@ then walks the full client workflow with
 
 1. submit a RunSpec → poll → fetch its estimates,
 2. resubmit the identical spec and observe the cache hit,
-3. submit a registered study (``fig6``) and fetch tidy rows + report.
+3. submit a registered study (``fig6``) and fetch tidy rows + report,
+4. restart: close the app, start a second one on the same jobs
+   directory, and check that both jobs are still served ``done`` from
+   their records — the run's estimates byte-identical, the study's
+   rows fetched again without re-running it.
 
 Run:  python examples/remote_study.py
 """
 
+import json
+import tempfile
 import threading
 
 from repro.api import StudyContext
@@ -42,14 +48,32 @@ RUN_PAYLOAD = {
 }
 
 
-def main() -> int:
-    app = create_app(ServerConfig(workers=2, study_context=CTX))
+def serve_in_background(app):
+    """Mount ``app`` on an ephemeral localhost port; returns (server, url)."""
     server = make_http_server(app, port=0, quiet=True)
     host, port = server.server_address[:2]
     threading.Thread(target=server.serve_forever, daemon=True).start()
-    print(f"server    : http://{host}:{port} (2 workers)")
+    return server, f"http://{host}:{port}"
 
-    client = ReproClient(f"http://{host}:{port}")
+
+def stop(server, app) -> None:
+    server.shutdown()
+    server.server_close()
+    app.close()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="repro-jobs-") as jobs_dir:
+        return walkthrough(jobs_dir)
+
+
+def walkthrough(jobs_dir: str) -> int:
+    config = dict(workers=2, study_context=CTX, jobs_dir=jobs_dir)
+    app = create_app(ServerConfig(**config))
+    server, url = serve_in_background(app)
+    print(f"server    : {url} (2 workers, jobs in {jobs_dir})")
+
+    client = ReproClient(url)
     print(f"health    : {client.health()['status']}, "
           f"{len(client.studies())} registered studies")
 
@@ -73,16 +97,32 @@ def main() -> int:
     # 3. A registered paper study over REST: tidy rows + rendered report.
     study_job = client.submit_study("fig6", {"machine_names": ["8-way"]})
     print(f"study job : {study_job['id']} ({study_job['status']})")
-    client.wait(study_job["id"], timeout=1200)
+    study_done = client.wait(study_job["id"], timeout=1200)
     rows = client.study_rows(study_job["id"])
     print(f"fig6 rows : {len(rows)} "
           f"(columns: {', '.join(rows[0]) if rows else '-'})")
     print()
     print(client.study_report(study_job["id"]))
+    stop(server, app)
 
-    server.shutdown()
-    server.server_close()
-    app.close()
+    # 4. Restart on the same jobs directory: finished jobs are served
+    # from their records, not recomputed.
+    app2 = create_app(ServerConfig(**config))
+    server2, url2 = serve_in_background(app2)
+    client2 = ReproClient(url2)
+    run_again = client2.job(job["id"])
+    study_again = client2.job(study_job["id"])
+    assert run_again["status"] == study_again["status"] == "done"
+    assert json.dumps(client2.run_result(job["id"])["result"],
+                      sort_keys=True) \
+        == json.dumps(result["result"], sort_keys=True)
+    assert study_again["finished_at"] == study_done["finished_at"]
+    assert study_again["restarts"] == 0
+    assert client2.study_rows(study_job["id"]) == rows
+    print(f"restart   : {url2} serves {job['id']} and {study_job['id']} "
+          f"done from {jobs_dir} (estimates byte-identical, "
+          f"{len(rows)} fig6 rows, not re-run)")
+    stop(server2, app2)
     return 0
 
 

@@ -37,9 +37,8 @@ class Session:
     Args:
         max_workers: Default worker-process count for batches; ``None``
             or 1 runs serially.
-        cache_dir: On-disk result cache directory (default:
-            ``.run_cache`` at the repository root, or
-            ``REPRO_RUN_CACHE_DIR``).
+        cache_dir: On-disk result cache directory (default: the
+            artifact store's ``result`` namespace).
         use_cache: Disable to bypass the *run-result* cache — every run
             is recomputed and no result is read from or written to
             disk.  (The checkpoint store is separate: specs with
@@ -49,7 +48,7 @@ class Session:
             is unwritable, and disabled per strategy with
             ``StratifiedStrategy(profile_cache=False)`` — a
             process-local flag that does not reach parallel pool
-            workers.  Point ``REPRO_CHECKPOINT_DIR`` elsewhere for
+            workers.  Point ``REPRO_ARTIFACT_DIR`` elsewhere for
             isolation that covers every execution mode.)
         checkpoints: Default checkpoint mode (``"off"`` or ``"auto"``)
             applied by :meth:`estimate` when none is given explicitly;

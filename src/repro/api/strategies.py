@@ -417,9 +417,9 @@ class StratifiedStrategy(SamplingStrategy):
 
         The BBV profile — the only functional pass this strategy needs —
         is cached in ``store`` (a :class:`repro.checkpoint.CheckpointStore`;
-        default: the shared ``.ckpt_cache`` / ``REPRO_CHECKPOINT_DIR``
-        store) keyed by (program fingerprint, interval size, profiled
-        length), so repeated stratified runs over the same benchmark
+        default: the artifact store's shared ``bbv`` namespace) keyed by
+        (program fingerprint, interval size, profiled length), so
+        repeated stratified runs over the same benchmark
         (any seed, sample size, or machine) profile once.  Profiling is
         deterministic — a cached profile is bit-identical to a fresh
         one — and persisting it is opportunistic: set

@@ -42,6 +42,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -60,18 +61,30 @@ DEFAULT_MAX_ATTEMPTS = 3
 JOB_STATES = ("pending", "claimed", "done", "failed")
 
 
-def default_queue_dir() -> Path:
-    """The work-queue directory (``REPRO_QUEUE_DIR``)."""
-    env = os.environ.get("REPRO_QUEUE_DIR")
+#: Order in which :meth:`FileWorkQueue.lookup` searches the states.  A
+#: transition writes its target before unlinking its source, so a job
+#: caught mid-move is reported in the state it is moving into.
+_LOOKUP_ORDER = ("done", "failed", "pending", "claimed")
+
+
+def default_queue_dir(env_var: str = "REPRO_QUEUE_DIR",
+                      name: str = "queue") -> Path:
+    """A work-queue directory: ``env_var`` if set, else under the artifact
+    root (``<artifact root>/queue`` for the batch queue)."""
+    env = os.environ.get(env_var)
     if env:
         return Path(env)
-    return project_cache_dir("REPRO_ARTIFACT_DIR", ".artifacts") / "queue"
+    return project_cache_dir("REPRO_ARTIFACT_DIR", ".artifacts") / name
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    """Atomic JSON write (tmp + fsync + rename), per-writer tmp name."""
+    """Atomic JSON write (tmp + fsync + rename), per-writer tmp name.
+
+    The tmp name carries the thread id as well as the pid: two threads
+    of one process writing the same record must not share a tmp file.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(f".{os.getpid()}.tmp")
+    tmp = path.with_suffix(f".{os.getpid()}-{threading.get_ident()}.tmp")
     with open(tmp, "w") as handle:
         json.dump(payload, handle, sort_keys=True)
         handle.flush()
@@ -114,7 +127,17 @@ class FileWorkQueue:
         return f"{safe}--{spec.key()}--v{CACHE_VERSION}"
 
     def submit(self, spec, use_cache: bool = True) -> str:
-        """Enqueue one spec; returns its job name (idempotent per spec).
+        """Enqueue one spec; returns its job name (idempotent per spec)."""
+        name = self.job_name(spec)
+        self.submit_payload(name, {
+            "spec": spec.to_dict(),
+            "use_cache": bool(use_cache),
+            "attempts": 0,
+        })
+        return name
+
+    def submit_payload(self, name: str, payload: dict) -> None:
+        """Enqueue an arbitrary JSON payload under ``name``.
 
         Stale terminal records of the same name are cleared first: the
         executor only submits cache *misses*, so a leftover ``done/``
@@ -124,26 +147,40 @@ class FileWorkQueue:
         wants.
         """
         self.ensure_dirs()
-        name = self.job_name(spec)
         for state in ("done", "failed"):
             self._path(state, name).unlink(missing_ok=True)
         if (self._path("pending", name).exists()
                 or self._path("claimed", name).exists()):
-            return name
-        _write_json(self._path("pending", name), {
-            "spec": spec.to_dict(),
-            "use_cache": bool(use_cache),
-            "attempts": 0,
-        })
-        return name
+            return
+        _write_json(self._path("pending", name), payload)
 
-    def result(self, name: str) -> tuple[str, dict] | None:
-        """The terminal record of a job: ("done"|"failed", payload)."""
-        for state in ("done", "failed"):
+    def lookup(self, name: str,
+               states: tuple[str, ...] = _LOOKUP_ORDER
+               ) -> tuple[str, dict] | None:
+        """The readable record of a job among ``states``: (state, payload)."""
+        for state in states:
             payload = _read_json(self._path(state, name))
             if payload is not None:
                 return state, payload
         return None
+
+    def result(self, name: str) -> tuple[str, dict] | None:
+        """The terminal record of a job: ("done"|"failed", payload)."""
+        return self.lookup(name, ("done", "failed"))
+
+    def records(self) -> list[tuple[str, str, dict]]:
+        """Every readable record as ``(state, name, payload)``, one per job.
+
+        Unreadable files are skipped; a job caught mid-transition is
+        listed once, in the state :meth:`lookup` would report.
+        """
+        found: dict[str, tuple[str, str, dict]] = {}
+        for state in _LOOKUP_ORDER:
+            for path in sorted(self._dir(state).glob("*.json")):
+                payload = _read_json(path)
+                if payload is not None and path.stem not in found:
+                    found[path.stem] = (state, path.stem, payload)
+        return list(found.values())
 
     # ------------------------------------------------------------------
     # Worker side
@@ -153,7 +190,10 @@ class FileWorkQueue:
 
         The rename from ``pending/`` to ``claimed/`` is the mutual
         exclusion: exactly one contender wins each file, losers see
-        ``FileNotFoundError`` and try the next.
+        ``FileNotFoundError`` and try the next.  The winner stamps the
+        claim with ``started_at``; the rewrite also starts the lease at
+        claim time (a rename keeps the submit-time mtime, which would
+        make a job that waited longer than the lease look abandoned).
         """
         inject("queue.claim")
         pending = self._dir("pending")
@@ -171,6 +211,8 @@ class FileWorkQueue:
                 # Unreadable spec file: fail it rather than spin on it.
                 self.fail(path.stem, "unreadable spec file", worker=None)
                 continue
+            payload["started_at"] = time.time()
+            _write_json(target, payload)
             return path.stem, payload
         return None
 
@@ -187,16 +229,24 @@ class FileWorkQueue:
         except OSError:
             pass  # completed or requeued under us; nothing to extend
 
-    def complete(self, name: str, result: dict, worker: dict | None) -> None:
-        _write_json(self._path("done", name),
-                    {"result": result, "worker": worker or {}})
-        self._path("claimed", name).unlink(missing_ok=True)
+    def complete(self, name: str, result: dict, worker: dict | None = None,
+                 **fields) -> None:
+        """Write the ``done/`` record (``fields`` ride along in it).
 
-    def fail(self, name: str, error: str, worker: dict | None,
+        A completed result supersedes any earlier ``failed/`` record of
+        the same name, so a job has at most one terminal record.
+        """
+        _write_json(self._path("done", name),
+                    {**fields, "result": result, "worker": worker or {}})
+        self._path("claimed", name).unlink(missing_ok=True)
+        self._path("failed", name).unlink(missing_ok=True)
+
+    def fail(self, name: str, error: str, worker: dict | None = None,
              attempts: int = 1, error_type: str = "Exception",
-             transient: bool = False) -> None:
+             transient: bool = False, **fields) -> None:
+        """Write the ``failed/`` record (``fields`` ride along in it)."""
         _write_json(self._path("failed", name),
-                    {"error": error, "worker": worker or {},
+                    {**fields, "error": error, "worker": worker or {},
                      "attempts": attempts, "error_type": error_type,
                      "transient": transient})
         self._path("claimed", name).unlink(missing_ok=True)

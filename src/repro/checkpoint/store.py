@@ -81,13 +81,8 @@ def _pack(payload: dict) -> bytes:
 
 
 def _unpack(blob: bytes) -> dict:
-    """Deserialize an on-disk blob (accepting the legacy zlib format,
-    so ``entries``/``gc`` can still read sets written before v2)."""
-    try:
-        raw = lzma.decompress(blob)
-    except lzma.LZMAError:
-        raw = zlib.decompress(blob)
-    return pickle.loads(raw)
+    """Deserialize an on-disk checkpoint-set blob."""
+    return pickle.loads(lzma.decompress(blob))
 
 
 class StaleCheckpointWarning(UserWarning):
@@ -558,7 +553,7 @@ class CheckpointStore:
                 self.put_bbv_profile(profile, program, limit=max_instructions)
             except OSError:
                 # Profile caching is an optimization: an unwritable store
-                # (read-only checkout, container without REPRO_CHECKPOINT_DIR)
+                # (read-only checkout, unwritable artifact root)
                 # must not break a run that previously worked in memory.
                 pass
         return profile

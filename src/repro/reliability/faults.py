@@ -19,12 +19,12 @@ Site                 Where it fires
 ===================  ====================================================
 ``store.write``      :meth:`repro.store.ArtifactStore.write_path`
 ``store.read``       :meth:`repro.store.ArtifactStore.read_path`
-``queue.claim``      :meth:`repro.backends.queue.FileWorkQueue.claim_next`
+``queue.claim``      :meth:`FileWorkQueue.claim_next` (batch and server)
 ``queue.heartbeat``  :meth:`repro.backends.queue.FileWorkQueue.heartbeat`
 ``queue.requeue``    :meth:`FileWorkQueue.requeue_stale`
 ``worker.execute``   :func:`repro.backends.worker.process_job`
 ``pool.task``        the local-pool worker, before executing a spec
-``server.job``       :meth:`repro.server.jobs.JobQueue._execute`
+``server.job``       :meth:`JobQueue._execute`, as a claimed job starts
 ===================  ====================================================
 
 Activation is explicit: either the ``REPRO_FAULT_PLAN`` environment

@@ -5,10 +5,12 @@ accepts :class:`~repro.api.spec.RunSpec` and registered
 :class:`~repro.api.study.Study` submissions as JSON, runs them through a
 bounded background job queue into the existing
 :class:`~repro.api.session.Session`, and serves results, tidy rows, and
-rendered reports back over REST.  Because every run goes through the
-spec-hash :class:`~repro.api.executor.ResultCache`, the cache acts as a
-cross-client memo: identical submissions from different clients are
-answered without simulating.
+rendered reports back over REST.  Jobs live as records in a
+:class:`~repro.backends.queue.FileWorkQueue` directory
+(:func:`default_jobs_dir`), so they survive restarts.  Because every run
+goes through the spec-hash :class:`~repro.api.executor.ResultCache`, the
+cache acts as a cross-client memo: identical submissions from different
+clients are answered without simulating.
 
 Entry points:
 
@@ -31,18 +33,23 @@ from repro.server.app import (
     serve,
 )
 from repro.server.client import ReproClient, ServerError
-from repro.server.jobs import JobQueue, JobTimeout, QueueClosed, QueueFull
+from repro.server.jobs import (
+    Job,
+    JobQueue,
+    JobTimeout,
+    QueueClosed,
+    QueueFull,
+    default_jobs_dir,
+)
 from repro.server.schemas import (
     ValidationError,
     parse_run_payload,
     parse_study_payload,
 )
-from repro.server.store import JobRecord, JobStore, default_jobs_dir
 
 __all__ = [
+    "Job",
     "JobQueue",
-    "JobRecord",
-    "JobStore",
     "JobTimeout",
     "QueueClosed",
     "QueueFull",

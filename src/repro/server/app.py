@@ -1,12 +1,11 @@
 """The WSGI application factory and the stdlib HTTP server around it.
 
-:func:`create_app` wires a :class:`~repro.api.session.Session`, a
-:class:`~repro.server.store.JobStore`, and a
-:class:`~repro.server.jobs.JobQueue` into one WSGI callable
-(:class:`ReproApp`).  The object is importable and callable in-process —
-tests and :class:`~repro.server.client.ReproClient` drive it without a
-socket — and :func:`serve` mounts the same app on a threading
-``wsgiref`` server for real HTTP traffic (stdlib only, no new
+:func:`create_app` wires a :class:`~repro.api.session.Session` and a
+:class:`~repro.server.jobs.JobQueue` (backed by a file work queue) into
+one WSGI callable (:class:`ReproApp`).  The object is importable and
+callable in-process — tests and :class:`~repro.server.client.ReproClient`
+drive it without a socket — and :func:`serve` mounts the same app on a
+threading ``wsgiref`` server for real HTTP traffic (stdlib only, no new
 dependencies).
 """
 
@@ -22,17 +21,17 @@ from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
 from repro.api.session import Session
 from repro.server.jobs import JobQueue
 from repro.server.routes import Response, dispatch
-from repro.server.store import JobStore
 
 
 @dataclass
 class ServerConfig:
     """Everything :func:`create_app` / :func:`serve` can be told.
 
-    ``cache_dir`` / ``jobs_dir`` default to the repository-level
-    ``.run_cache`` / ``.jobs`` directories (``REPRO_RUN_CACHE_DIR`` /
-    ``REPRO_JOBS_DIR``).  ``job_timeout`` is seconds per job, ``None``
-    for unlimited.  ``study_context`` overrides the process-wide
+    ``cache_dir`` defaults to the artifact store's ``result`` namespace;
+    ``jobs_dir``, the server's file work queue, to ``<artifact
+    root>/jobs`` (``REPRO_JOBS_DIR``), next to the batch ``queue/``.
+    ``job_timeout`` is seconds per job, ``None`` for unlimited.
+    ``study_context`` overrides the process-wide
     :func:`~repro.api.study.default_context` for study jobs (used by
     tests to run miniature grids).
     """
@@ -94,10 +93,9 @@ class ReproApp:
         self.session = Session(cache_dir=config.cache_dir,
                                use_cache=config.use_cache,
                                backend=config.backend)
-        self.store = JobStore(config.jobs_dir)
         self.queue = JobQueue(
             session=self.session,
-            store=self.store,
+            jobs_dir=config.jobs_dir,
             workers=config.workers,
             queue_depth=config.queue_depth,
             job_timeout=config.job_timeout,

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from repro.api.spec import RunResult
 from repro.api.study import STUDIES
 from repro.api.resultset import rows_to_csv
-from repro.server.jobs import QueueClosed, QueueFull
+from repro.server.jobs import STATUS, QueueClosed, QueueFull
 from repro.server.schemas import (
     ValidationError,
     parse_run_payload,
@@ -104,67 +104,66 @@ def handle_health(app, request) -> Response:
 
 def handle_submit_run(app, request) -> Response:
     spec = parse_run_payload(request.json)
-    record, created = app.queue.submit_run(spec)
-    payload = record.describe()
+    job, created = app.queue.submit_run(spec)
+    payload = job.describe()
     payload["created"] = created
-    return Response.json(202 if created and record.status == "queued"
+    return Response.json(202 if created and job.status == "queued"
                          else 200, payload)
 
 
 def handle_submit_study(app, request) -> Response:
     study, params = parse_study_payload(request.json)
-    record, created = app.queue.submit_study(study, params)
-    payload = record.describe()
+    job, created = app.queue.submit_study(study, params)
+    payload = job.describe()
     payload["created"] = created
     return Response.json(202 if created else 200, payload)
 
 
 def handle_jobs(app, request) -> Response:
     status = request.query.get("status")
-    if status is not None and status not in ("queued", "running",
-                                             "done", "failed"):
+    if status is not None and status not in STATUS.values():
         return Response.error(400, f"unknown status filter {status!r}")
     return Response.json(200, {
-        "jobs": [record.describe() for record in app.queue.jobs(status)],
+        "jobs": [job.describe() for job in app.queue.jobs(status)],
     })
 
 
 def handle_job(app, request, job_id: str) -> Response:
-    record = app.queue.job(job_id)
-    if record is None:
+    job = app.queue.job(job_id)
+    if job is None:
         return Response.error(404, f"unknown job {job_id!r}")
-    return Response.json(200, record.describe())
+    return Response.json(200, job.describe())
 
 
 def _finished_job(app, job_id: str, kind: str):
     """The done job behind a result route, or the error Response."""
-    record = app.queue.job(job_id)
-    if record is None or record.kind != kind:
+    job = app.queue.job(job_id)
+    if job is None or job.kind != kind:
         return None, Response.error(404, f"unknown {kind} job {job_id!r}")
-    if record.status in ("queued", "running"):
-        return None, Response.json(202, record.describe())
-    if record.status == "failed":
+    if job.status in ("queued", "running"):
+        return None, Response.json(202, job.describe())
+    if job.status == "failed":
         return None, Response.error(409, f"job {job_id} failed",
-                                    detail=record.error)
-    return record, None
+                                    detail=job.error)
+    return job, None
 
 
 def handle_run_result(app, request, job_id: str) -> Response:
-    record, error = _finished_job(app, job_id, "run")
+    job, error = _finished_job(app, job_id, "run")
     if error is not None:
         return error
     view = request.query.get("view", "estimates")
     if view not in ("estimates", "full", "summary"):
         return Response.error(400, f"unknown view {view!r}; "
                                    f"available: estimates, full, summary")
-    result = RunResult.from_dict(record.result)
+    result = RunResult.from_dict(job.result)
     if view == "estimates":
         payload = result.estimates_dict()
     elif view == "summary":
         payload = result.summary()
     else:
         payload = result.to_dict()
-    return Response.json(200, {"id": record.id, "cached": record.cached,
+    return Response.json(200, {"id": job.id, "cached": job.cached,
                                "view": view, "result": payload})
 
 
@@ -175,26 +174,26 @@ def handle_studies(app, request) -> Response:
 
 
 def handle_study_rows(app, request, job_id: str) -> Response:
-    record, error = _finished_job(app, job_id, "study")
+    job, error = _finished_job(app, job_id, "study")
     if error is not None:
         return error
     fmt = request.query.get("format", "json")
     if fmt == "csv":
-        return Response(200, rows_to_csv(record.result["rows"]).encode(),
+        return Response(200, rows_to_csv(job.result["rows"]).encode(),
                         content_type="text/csv")
     if fmt != "json":
         return Response.error(400, f"unknown format {fmt!r}; "
                                    f"available: json, csv")
-    return Response.json(200, {"id": record.id,
-                               "study": record.result["study"],
-                               "rows": record.result["rows"]})
+    return Response.json(200, {"id": job.id,
+                               "study": job.result["study"],
+                               "rows": job.result["rows"]})
 
 
 def handle_study_report(app, request, job_id: str) -> Response:
-    record, error = _finished_job(app, job_id, "study")
+    job, error = _finished_job(app, job_id, "study")
     if error is not None:
         return error
-    return Response.text(200, record.result.get("report", ""))
+    return Response.text(200, job.result.get("report", ""))
 
 
 def handle_cache_stats(app, request) -> Response:

@@ -145,6 +145,63 @@ class TestFileWorkQueue:
         queue.claim_next()
         assert queue.requeue_stale(lease_seconds=30) == []
 
+    def test_claim_of_long_pending_job_starts_a_fresh_lease(self):
+        # A job that waited in pending/ longer than the lease must not
+        # look abandoned the moment it is claimed.
+        queue = FileWorkQueue()
+        name = queue.submit(_micro_spec())
+        os.utime(queue._path("pending", name), (time.time() - 60,) * 2)
+        claimed, payload = queue.claim_next()
+        assert claimed == name
+        assert queue.requeue_stale(lease_seconds=30) == []
+        assert payload["started_at"] >= time.time() - 5
+
+    def test_concurrent_writers_of_one_record(self):
+        # Threads of one process finishing the same job name must not
+        # collide on a shared tmp file.
+        import threading
+
+        queue = FileWorkQueue()
+        errors = []
+
+        def writer(index: int) -> None:
+            try:
+                for n in range(50):
+                    queue.complete("job", {"writer": index, "n": n},
+                                   worker=None)
+            except Exception as exc:  # noqa: BLE001 — collected below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(i,))
+                   for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        state, record = queue.result("job")
+        assert state == "done" and record["result"]["n"] == 49
+        assert not list(queue._dir("done").glob("*.tmp"))
+
+    def test_lookup_and_records_span_states(self):
+        queue = FileWorkQueue()
+        queue.submit_payload("a", {"kind": "x"})
+        queue.submit_payload("b", {"kind": "y"})
+        queue.claim_next()  # "a" moves to claimed/
+        queue.complete("c", {"ok": True}, note="rides along")
+        (queue._dir("done") / "bad.json").write_text("{truncated")
+        assert queue.lookup("a")[0] == "claimed"
+        assert queue.lookup("b") == ("pending", {"kind": "y"})
+        assert queue.lookup("c")[1]["note"] == "rides along"
+        assert queue.lookup("bad") is None
+        listed = {name: state for state, name, _ in queue.records()}
+        assert listed == {"a": "claimed", "b": "pending", "c": "done"}
+        # A completed result supersedes an earlier failure of the job.
+        queue.fail("c", "boom")
+        queue.complete("c", {"ok": True})
+        assert queue.lookup("c")[0] == "done"
+        assert not queue._path("failed", "c").exists()
+
 
 class TestRunWorker:
     def test_worker_drains_queue_in_process(self):

@@ -202,6 +202,19 @@ class TestMaintenance:
         assert stale in removed and leftover in removed
         assert store.get(micro.program, machine_8way, unit_size=25) is not None
 
+    def test_legacy_zlib_set_is_skipped_and_collected(self, store, micro,
+                                                     machine_8way):
+        """A pre-v2 set (zlib-compressed) is never read; gc removes it."""
+        payload = build_checkpoints(micro.program, machine_8way,
+                                    unit_size=25).to_payload()
+        payload["meta"]["version"] = 1
+        store.directory.mkdir(parents=True, exist_ok=True)
+        legacy = store.directory / "micro--legacy--mfeed--u25--v1.ckpt"
+        legacy.write_bytes(zlib.compress(pickle.dumps(payload, protocol=4), 6))
+        assert store.entries() == []
+        assert legacy in store.gc()
+        assert not legacy.exists()
+
     def test_gc_all(self, store, micro, machine_8way):
         store.get_or_build(micro.program, machine_8way, unit_size=25)
         store.gc(remove_all=True)

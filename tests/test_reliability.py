@@ -432,7 +432,7 @@ class TestQueueWorkerRetry:
 
 
 # ----------------------------------------------------------------------
-# Queue and job-store gc
+# Queue gc (the batch queue and the server's job queue)
 # ----------------------------------------------------------------------
 class TestQueueGC:
     def test_ttl_prunes_only_terminal_states(self):
@@ -474,21 +474,23 @@ class TestQueueGC:
         assert not path.exists()
 
     def test_jobs_gc_dry_run(self, capsys):
+        from repro.backends import FileWorkQueue
         from repro.cli import main
-        from repro.server import JobStore
-        from repro.server.store import JobRecord
+        from repro.server import default_jobs_dir
 
-        store = JobStore()
-        record = JobRecord(id="run-x", kind="run", payload={},
-                           status="done")
-        record.submitted_at = time.time() - 10 * 86400
-        store.save(record)
-        assert main(["jobs", "gc", "--max-age-days", "7",
+        # A finished server job, aged past the TTL.
+        jobs = FileWorkQueue(default_jobs_dir())
+        jobs.complete("run-x", {}, kind="run", payload={})
+        path = jobs._path("done", "run-x")
+        old = time.time() - 10 * 86400
+        os.utime(path, (old, old))
+        assert main(["store", "gc", "--max-age-days", "7",
                      "--dry-run"]) == 0
-        assert "would remove" in capsys.readouterr().out
-        assert store.load("run-x") is not None
-        assert main(["jobs", "gc", "--max-age-days", "7"]) == 0
-        assert store.load("run-x") is None
+        out = capsys.readouterr().out
+        assert "would remove 1 server job record(s)" in out
+        assert jobs.lookup("run-x") is not None
+        assert main(["store", "gc", "--max-age-days", "7"]) == 0
+        assert jobs.lookup("run-x") is None
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Queue semantics, job-store persistence, and cache-write hardening.
+"""Queue semantics, job persistence, and cache-write hardening.
 
 Worker-blocking tests monkeypatch ``repro.server.jobs.execute_run`` with
 event-gated stand-ins so queue-full (429), per-job timeout, and graceful
@@ -7,14 +7,21 @@ simulation timing.
 """
 
 import json
+import os
 import threading
 import time
 
 import pytest
 
 from repro.api import ResultCache, RunSpec, SystematicStrategy, execute_spec
+from repro.backends import FileWorkQueue
 from repro.cli import main
-from repro.server import JobRecord, JobStore, ServerConfig, ServerError, create_app
+from repro.server import (
+    ServerConfig,
+    ServerError,
+    create_app,
+    default_jobs_dir,
+)
 from repro.server import jobs as server_jobs
 from repro.server.client import ReproClient
 
@@ -32,6 +39,21 @@ MICRO_SPEC = RunSpec(
     benchmark="micro.syn", epsilon=0.5,
     strategy=SystematicStrategy(unit_size=25, n_init=40, max_rounds=1,
                                 detailed_warming=64))
+
+
+def job_files() -> FileWorkQueue:
+    """The server's job directory (``REPRO_JOBS_DIR``) as a file queue."""
+    return FileWorkQueue(default_jobs_dir())
+
+
+def seed_done(job_id: str, result=None, age_days: float = 0.0, **fields):
+    """Write a finished job record straight into the server's directory."""
+    files = job_files()
+    files.complete(job_id, result, **{"kind": "run", "payload": {},
+                                      "submitted_at": time.time(), **fields})
+    if age_days:
+        old = time.time() - age_days * 86400
+        os.utime(files._path("done", job_id), (old, old))
 
 
 @pytest.fixture(scope="module")
@@ -158,56 +180,86 @@ class TestRestartRecovery:
             app2.close()
 
     def test_interrupted_running_job_requeues(self, tmp_path):
-        store = JobStore()
-        record = JobRecord(id=f"run-{MICRO_SPEC.key()}", kind="run",
-                           payload=MICRO_SPEC.to_dict(), status="running")
-        store.save(record)
+        # A claimed record is what a server killed mid-job leaves behind.
+        job_id = f"run-{MICRO_SPEC.key()}"
+        files = job_files()
+        files.submit_payload(job_id, {"kind": "run",
+                                      "payload": MICRO_SPEC.to_dict(),
+                                      "submitted_at": time.time(),
+                                      "restarts": 0})
+        assert files.claim_next()[0] == job_id
         app = create_app(ServerConfig(workers=1))
         try:
             client = ReproClient(app=app)
-            finished = client.wait(record.id, timeout=120)
+            finished = client.wait(job_id, timeout=120)
             assert finished["restarts"] == 1
         finally:
             app.close()
 
 
 class TestJobStore:
+    """Job records live in the server's file work queue directory."""
+
     def test_record_roundtrip(self):
-        store = JobStore()
-        record = JobRecord(id="run-abc", kind="run", payload={"x": 1},
-                           status="done", result={"y": 2})
-        store.save(record)
-        loaded = store.load("run-abc")
-        assert loaded.to_dict() == record.to_dict()
-        assert store.load("run-missing") is None
+        seed_done("run-abc", {"y": 2}, payload={"x": 1}, submitted_at=5.0,
+                  started_at=6.0, finished_at=7.0, cached=True, restarts=2)
+        app = create_app(ServerConfig(workers=0))
+        try:
+            job = app.queue.job("run-abc")
+            assert job.result == {"y": 2}
+            assert job.describe() == {
+                "id": "run-abc", "kind": "run", "status": "done",
+                "payload": {"x": 1}, "submitted_at": 5.0,
+                "started_at": 6.0, "finished_at": 7.0, "error": None,
+                "cached": True, "restarts": 2, "has_result": True,
+                "failures": None}
+            assert app.queue.job("run-missing") is None
+            # And what the server writes is a plain queue record.
+            queued, _ = app.queue.submit_run(MICRO_SPEC)
+            state, record = job_files().lookup(queued.id)
+            assert state == "pending"
+            assert record["kind"] == "run"
+            assert record["payload"] == MICRO_SPEC.to_dict()
+            assert record["submitted_at"] == queued.describe()["submitted_at"]
+        finally:
+            app.close()
 
-    def test_corrupt_record_ignored(self, tmp_path):
-        store = JobStore()
-        store.save(JobRecord(id="run-ok", kind="run", payload={}))
-        (store.directory / "run-bad.json").write_text("{truncated")
-        records = store.load_all()
-        assert [r.id for r in records] == ["run-ok"]
+    def test_corrupt_record_ignored(self, capsys):
+        seed_done("run-ok")
+        bad = job_files()._path("done", "run-bad")
+        bad.write_text("{truncated")
+        app = create_app(ServerConfig(workers=0))
+        try:
+            client = ReproClient(app=app)
+            assert [r["id"] for r in client.jobs()] == ["run-ok"]
+            with pytest.raises(ServerError) as exc:
+                client.job("run-bad")
+            assert exc.value.status == 404
+        finally:
+            app.close()
+        assert main(["jobs", "ls", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [job["id"] for job in payload["jobs"]] == ["run-ok"]
 
-    def test_gc(self, tmp_path):
-        store = JobStore()
-        old = JobRecord(id="run-old", kind="run", payload={},
-                        status="done", submitted_at=1.0)
-        fresh = JobRecord(id="run-new", kind="run", payload={},
-                          status="done")
-        running = JobRecord(id="run-live", kind="run", payload={},
-                            status="running", submitted_at=1.0)
-        for record in (old, fresh, running):
-            store.save(record)
-        (store.directory / "run-stray.123.tmp").write_text("junk")
+    def test_gc(self):
+        files = job_files()
+        seed_done("run-old", age_days=60)
+        seed_done("run-new")
+        files.submit_payload("run-live", {"kind": "run", "payload": {}})
+        files.claim_next()
+        live = files._path("claimed", "run-live")
+        os.utime(live, (time.time() - 60 * 86400,) * 2)
+        (files._dir("done") / "run-stray.123.tmp").write_text("junk")
 
-        removed = {p.name for p in store.gc(max_age_days=30)}
+        removed = {p.name for p in files.gc(max_age_days=30)}
         # Old finished record and the stray tmp go; the fresh record and
         # the (stale but still 'running') record stay.
         assert removed == {"run-old.json", "run-stray.123.tmp"}
-        assert {r.id for r in store.load_all()} == {"run-new", "run-live"}
+        assert {job.id for job in server_jobs.list_jobs(files)} \
+            == {"run-new", "run-live"}
 
-        store.gc(remove_all=True)
-        assert store.load_all() == []
+        files.gc(remove_all=True)
+        assert server_jobs.list_jobs(files) == []
 
 
 class TestResultCacheHardening:
@@ -275,11 +327,11 @@ class TestServerCLI:
         assert args.queue_depth == 16
         assert args.job_timeout is None
 
-    def test_jobs_ls_and_gc(self, capsys):
-        store = JobStore()
-        store.save(JobRecord(id="run-x", kind="run",
-                             payload={"benchmark": "micro.syn"},
-                             status="done", submitted_at=1.0))
+    def test_jobs_ls_and_gc(self, capsys, tmp_path, monkeypatch):
+        # `store gc` sweeps the whole artifact root: keep it in tmp_path.
+        monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path / "artifacts"))
+        monkeypatch.setenv("REPRO_QUEUE_DIR", str(tmp_path / "queue"))
+        seed_done("run-x", age_days=30, payload={"benchmark": "micro.syn"})
         assert main(["jobs", "ls"]) == 0
         out = capsys.readouterr().out
         assert "run-x" in out and "micro.syn" in out
@@ -288,7 +340,9 @@ class TestServerCLI:
         payload = json.loads(capsys.readouterr().out)
         assert payload["jobs"][0]["id"] == "run-x"
 
-        assert main(["jobs", "gc", "--max-age-days", "30"]) == 0
+        assert main(["store", "gc", "--max-age-days", "7"]) == 0
         out = capsys.readouterr().out
         assert "run-x.json" in out
-        assert store.load_all() == []
+        assert server_jobs.list_jobs(job_files()) == []
+        with pytest.raises(SystemExit):
+            main(["jobs", "gc"])  # one gc: `store gc`
